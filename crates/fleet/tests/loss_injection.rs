@@ -11,12 +11,13 @@ use fc_core::helpers_impl::{helper_name_table, standard_helper_ids};
 use fc_core::hooks::{Hook, HookKind, HookPolicy};
 use fc_fleet::node::{NodeEndpoint, RemoteConfig, RemoteNode, FLEET_MTU, NODE_OP_PATH};
 use fc_fleet::wire::{self, NodeOp};
-use fc_host::{HookEvent, HostConfig, LocalNode, NodeError, NodeService};
+use fc_fleet::{FcFleet, FleetConfig};
+use fc_host::{HookEvent, HostConfig, LocalNode, NodeError, NodeService, TransportStats};
 use fc_net::coap::{Code, Message};
 use fc_net::link::LinkConfig;
 use fc_rbpf::program::{FcProgram, ProgramBuilder};
 use fc_rtos::platform::{Engine, Platform};
-use fc_suit::SigningKey;
+use fc_suit::{SigningKey, Uuid};
 
 fn echo_program() -> FcProgram {
     ProgramBuilder::new()
@@ -549,4 +550,178 @@ fn backoff_cap_bounds_dead_link_timeout_virtual_time() {
     );
     assert_eq!(remote.transport_stats().retransmits, 8);
     assert_eq!(remote.endpoint().served_count(), 0, "nothing got through");
+}
+
+/// Hooks spread over the ring: enough that consistent hashing's spread,
+/// not one lumpy arc, decides each node's share.
+const RING_HOOKS: usize = 24;
+/// Events per hook in a ring run's one `dispatch_all` wave.
+const WAVE: u8 = 16;
+
+/// What a ring run leaves behind, indexed by node id.
+struct RingRun {
+    hooks_per_node: Vec<usize>,
+    busy_cycles: Vec<u64>,
+    /// Virtual link time the wave took (deploys excluded).
+    wave_us: Vec<u64>,
+    transport: Vec<TransportStats>,
+}
+
+/// `nodes` stock nodes behind the consistent-hash front, each over a
+/// link that drops `loss` of its datagrams and duplicates half as
+/// many, at the given transport window. Echo hooks deployed over the
+/// ring take one wave of `WAVE` events each, every owner's window
+/// driven at once. Every reply is checked, and each node's ledger must
+/// show exactly the events its hooks were offered, none shed.
+fn ring_run(nodes: usize, loss: f64, window: usize) -> RingRun {
+    let maintainer = SigningKey::from_seed(b"ring-maintainer");
+    let mut fleet = FcFleet::new(FleetConfig::default());
+    for i in 0..nodes {
+        let mut node = local_node();
+        node.updates_mut()
+            .provision_tenant(b"ring-tenant", maintainer.verifying_key(), 1);
+        let config = RemoteConfig {
+            link: LinkConfig {
+                loss,
+                duplicate: loss / 2.0,
+                jitter_us: if loss > 0.0 { 20_000 } else { 0 },
+                mtu: FLEET_MTU,
+                seed: 0x000f_1ee7 + i as u64,
+                ..LinkConfig::default()
+            },
+            max_retransmit: 8,
+            window,
+            ..RemoteConfig::default()
+        };
+        fleet
+            .add_node(Box::new(RemoteNode::new(node, config)))
+            .unwrap();
+    }
+    let hooks: Vec<Uuid> = (0..RING_HOOKS)
+        .map(|t| {
+            let hook = Hook::new(
+                &format!("fleet-t{t}"),
+                HookKind::CoapRequest,
+                HookPolicy::First,
+            );
+            let id = hook.id;
+            fleet
+                .register_hook(hook, ContractOffer::helpers(standard_helper_ids()))
+                .unwrap();
+            let (envelope, payload) = author_update(
+                &echo_program(),
+                id,
+                1,
+                &format!("ring-t{t}-v1"),
+                &maintainer,
+                b"ring-tenant",
+            );
+            fleet.deploy(&envelope, &payload).unwrap();
+            id
+        })
+        .collect();
+    let deployed_at: Vec<u64> = fleet
+        .transport_stats()
+        .into_iter()
+        .map(|(_, t)| t.virtual_now_us)
+        .collect();
+    let work = hooks
+        .iter()
+        .map(|&hook| {
+            (
+                hook,
+                (1..=WAVE).map(|i| HookEvent::new(&[i], &[])).collect(),
+            )
+        })
+        .collect();
+    for outcome in fleet.dispatch_all(work) {
+        for (i, reply) in outcome.unwrap().into_iter().enumerate() {
+            assert_eq!(reply.unwrap().combined, Some(i as u64 + 1), "echoed once");
+        }
+    }
+    let transport: Vec<TransportStats> = fleet
+        .transport_stats()
+        .into_iter()
+        .map(|(_, t)| t)
+        .collect();
+    let wave_us = transport
+        .iter()
+        .zip(deployed_at)
+        .map(|(t, start)| t.virtual_now_us - start)
+        .collect();
+    let mut hooks_per_node = vec![0; nodes];
+    for &hook in &hooks {
+        hooks_per_node[fleet.owner_of(hook).unwrap()] += 1;
+    }
+    let mut busy_cycles = Vec::new();
+    for (node, stats) in fleet.stats() {
+        let stats = stats.unwrap();
+        let offered = (hooks_per_node[node] * WAVE as usize) as u64;
+        assert_eq!(stats.dispatched, offered, "node {node} at loss {loss}");
+        assert_eq!(stats.shed, 0, "node {node} at loss {loss}");
+        busy_cycles.push(stats.max_shard_busy_cycles);
+    }
+    RingRun {
+        hooks_per_node,
+        busy_cycles,
+        wave_us,
+        transport,
+    }
+}
+
+/// Capacity on the cycle model, one tier up: going from one node to
+/// four, the hottest shard anywhere in the fleet carries at most half
+/// the load, at 0 % and at 5 % loss (capacity scaling ≥ 2.0x) — the
+/// ring spreads the hooks over at least three of the four nodes, and
+/// every node's ledger stays exactly-once.
+#[test]
+fn ring_capacity_scales_over_four_nodes_exactly_once_under_loss() {
+    for loss in [0.0, 0.05] {
+        let one = ring_run(1, loss, 8);
+        let four = ring_run(4, loss, 8);
+        let scaling = *one.busy_cycles.iter().max().unwrap() as f64
+            / *four.busy_cycles.iter().max().unwrap() as f64;
+        assert!(
+            scaling >= 2.0,
+            "capacity scaling 1→4 nodes at loss {loss}: {scaling:.2} < 2.0 ({:?})",
+            four.busy_cycles
+        );
+        assert!(
+            four.hooks_per_node.iter().filter(|&&n| n > 0).count() >= 3,
+            "hooks concentrated: {:?}",
+            four.hooks_per_node
+        );
+    }
+}
+
+/// The regression tripwire for stop-and-wait: the same four-node wave
+/// at window 8 takes a fraction of window 1's virtual link time
+/// (≥ 2.5x faster lossless, ≥ 2.0x at 5 % loss). Virtual time is the
+/// seeded link clock, so this holds on any box.
+#[test]
+fn window_eight_beats_stop_and_wait_in_virtual_time() {
+    let finish = |run: &RingRun| *run.wave_us.iter().max().unwrap();
+    for (loss, floor) in [(0.0, 2.5), (0.05, 2.0)] {
+        let speedup = finish(&ring_run(4, loss, 1)) as f64 / finish(&ring_run(4, loss, 8)) as f64;
+        assert!(
+            speedup >= floor,
+            "window 8 vs 1 at loss {loss}: {speedup:.2}x < {floor}x"
+        );
+    }
+}
+
+/// Run-to-run determinism of the lossy fleet, which is what lets the
+/// ratios above be exact: the same seeded four-node run at 5 % loss
+/// repeats every node's virtual clock, retransmit count and
+/// out-of-order completions.
+#[test]
+fn seeded_lossy_fleet_run_repeats_exactly() {
+    let counters = |run: RingRun| -> Vec<(u64, u64, u64)> {
+        run.transport
+            .iter()
+            .map(|t| (t.virtual_now_us, t.retransmits, t.completed_out_of_order))
+            .collect()
+    };
+    let first = counters(ring_run(4, 0.05, 8));
+    assert_eq!(first, counters(ring_run(4, 0.05, 8)));
 }

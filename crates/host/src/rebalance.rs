@@ -13,7 +13,7 @@
 //! cycles** per shard and per hook. Because the cycle model is
 //! deterministic and preemption-free, the imbalance measure is immune
 //! to how the host box time-slices worker threads — the same
-//! methodology the capacity metric in `BENCH_host.json` is built on.
+//! methodology the capacity tests in `tests/host_differential.rs` use.
 //!
 //! ## Hysteresis
 //!

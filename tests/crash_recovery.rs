@@ -285,82 +285,84 @@ fn kill_and_restart_at_every_crash_point_matches_uncrashed_reference() {
     }
 }
 
+/// Drives 24 events through a node behind a 5 %-loss link — a plain
+/// node for `None`, a durable one with the given journal config
+/// otherwise. Returns the outcome and the journal length written.
+fn load(durability: Option<DurabilityConfig>) -> (Outcome, usize) {
+    let key = signing_key();
+    let (hook, offer) = hook_spec();
+    let media = JournalMedia::new();
+    let mut node = match durability {
+        Some(durability) => LocalNode::durable(
+            Platform::CortexM4,
+            Engine::FemtoContainer,
+            host_config(),
+            &media,
+            durability,
+        ),
+        None => LocalNode::new(Platform::CortexM4, Engine::FemtoContainer, host_config()),
+    };
+    node.updates_mut()
+        .provision_tenant(TENANT_KEY_ID, key.verifying_key(), 1);
+    node.register_hook(hook.clone(), offer).expect("register");
+    let mut remote = RemoteNode::new(
+        node,
+        RemoteConfig {
+            link: LinkConfig {
+                loss: 0.05,
+                duplicate: 0.05,
+                jitter_us: 20_000,
+                mtu: FLEET_MTU,
+                seed: 0xd15a_b1ed,
+                ..LinkConfig::default()
+            },
+            max_retransmit: 16,
+            window: 4,
+            ..RemoteConfig::default()
+        },
+    );
+    let (envelope, payload) =
+        author_update(&counter_app(), hook.id, 1, "crash-v1", &key, TENANT_KEY_ID);
+    for (i, chunk) in payload.chunks(64).enumerate() {
+        remote
+            .stage_chunk("crash-v1", i * 64, chunk, i == 0)
+            .expect("stage");
+    }
+    remote.deploy(&envelope).expect("deploy");
+    let events: Vec<HookEvent> = (1..=24).map(ev).collect();
+    let replies = remote.dispatch_batch(hook.id, events).expect("batch");
+    let reports: Vec<HookReport> = replies
+        .into_iter()
+        .map(|r| r.expect("no crash, no shed"))
+        .collect();
+    let stats = remote.endpoint_mut().inner_mut().stats().expect("stats");
+    let stores_len = media.journal_len();
+    let node = remote.endpoint().inner();
+    let stores = node.host().env().stores();
+    let witness = (1..=24)
+        .map(|k| stores.fetch(0, 0, Scope::Global, k))
+        .collect();
+    let counter = stores.fetch(0, 0, Scope::Global, COUNTER_KEY);
+    (
+        Outcome {
+            reports,
+            witness,
+            counter,
+            stats,
+            restarted: false,
+        },
+        stores_len,
+    )
+}
+
 /// `DurabilityConfig::disabled()` must leave the node's observable
 /// outputs bit-identical to a node built without the journal module:
 /// same per-event reports, same kv state, same deterministic stats —
 /// and the media untouched.
 #[test]
 fn disabled_durability_is_bit_identical_to_a_plain_node() {
-    let load = |durable: bool| -> (Outcome, usize) {
-        let key = signing_key();
-        let (hook, offer) = hook_spec();
-        let media = JournalMedia::new();
-        let mut node = if durable {
-            LocalNode::durable(
-                Platform::CortexM4,
-                Engine::FemtoContainer,
-                host_config(),
-                &media,
-                DurabilityConfig::disabled(),
-            )
-        } else {
-            LocalNode::new(Platform::CortexM4, Engine::FemtoContainer, host_config())
-        };
-        node.updates_mut()
-            .provision_tenant(TENANT_KEY_ID, key.verifying_key(), 1);
-        node.register_hook(hook.clone(), offer).expect("register");
-        let mut remote = RemoteNode::new(
-            node,
-            RemoteConfig {
-                link: LinkConfig {
-                    loss: 0.05,
-                    duplicate: 0.05,
-                    jitter_us: 20_000,
-                    mtu: FLEET_MTU,
-                    seed: 0xd15a_b1ed,
-                    ..LinkConfig::default()
-                },
-                max_retransmit: 16,
-                window: 4,
-                ..RemoteConfig::default()
-            },
-        );
-        let (envelope, payload) =
-            author_update(&counter_app(), hook.id, 1, "crash-v1", &key, TENANT_KEY_ID);
-        for (i, chunk) in payload.chunks(64).enumerate() {
-            remote
-                .stage_chunk("crash-v1", i * 64, chunk, i == 0)
-                .expect("stage");
-        }
-        remote.deploy(&envelope).expect("deploy");
-        let events: Vec<HookEvent> = (1..=24).map(ev).collect();
-        let replies = remote.dispatch_batch(hook.id, events).expect("batch");
-        let reports: Vec<HookReport> = replies
-            .into_iter()
-            .map(|r| r.expect("no crash, no shed"))
-            .collect();
-        let stats = remote.endpoint_mut().inner_mut().stats().expect("stats");
-        let stores_len = media.journal_len();
-        let node = remote.endpoint().inner();
-        let stores = node.host().env().stores();
-        let witness = (1..=24)
-            .map(|k| stores.fetch(0, 0, Scope::Global, k))
-            .collect();
-        let counter = stores.fetch(0, 0, Scope::Global, COUNTER_KEY);
-        (
-            Outcome {
-                reports,
-                witness,
-                counter,
-                stats,
-                restarted: false,
-            },
-            stores_len,
-        )
-    };
-
-    let (plain, _) = load(false);
-    let (disabled, journal_len) = load(true);
+    let (plain, _) = load(None);
+    let (disabled, journal_len) = load(Some(DurabilityConfig::disabled()));
     assert_eq!(journal_len, 0, "disabled durability writes nothing");
     assert_eq!(disabled.reports, plain.reports, "per-event reports");
     assert_eq!(disabled.witness, plain.witness, "kv witness");
@@ -379,6 +381,22 @@ fn disabled_durability_is_bit_identical_to_a_plain_node() {
     assert_eq!(
         disabled.stats.max_shard_busy_cycles,
         plain.stats.max_shard_busy_cycles
+    );
+}
+
+/// Journaling is host-side bookkeeping against in-sim media: commits
+/// and snapshot folds must not add a single simulated device cycle —
+/// the cycle model, and so the energy proxy, is exactly a plain
+/// node's.
+#[test]
+fn journaling_adds_no_simulated_cycles() {
+    let (plain, _) = load(None);
+    let (journaled, journal_len) = load(Some(durability()));
+    assert!(journal_len > 0, "the journal was written");
+    assert_eq!(journaled.reports, plain.reports, "per-event reports");
+    assert_eq!(
+        journaled.stats.max_shard_busy_cycles, plain.stats.max_shard_busy_cycles,
+        "journaling leaked into simulated device time"
     );
 }
 

@@ -8,6 +8,8 @@
 //! region contents, same faults. Concurrency may reorder events of
 //! *different* hooks but never changes any event's outcome.
 
+use std::sync::atomic::Ordering;
+
 use femto_containers::core::apps;
 use femto_containers::core::contract::{ContractOffer, ContractRequest};
 use femto_containers::core::deploy::{author_update, component_name, contract_request_for};
@@ -19,8 +21,8 @@ use femto_containers::core::hooks::{Hook, HookKind, HookPolicy};
 use femto_containers::fleet::node::{RemoteConfig, RemoteNode, FLEET_MTU};
 use femto_containers::fleet::{FcFleet, FleetConfig};
 use femto_containers::host::{
-    CoapFront, ExecTier, FcHost, HookEvent, HostConfig, HostError, LiveUpdateService, LocalNode,
-    RebalanceConfig, Rebalancer, ShedPolicy, TelemetryConfig,
+    BatchAccepted, CoapFront, ExecTier, FcHost, HookEvent, HostConfig, HostError,
+    LiveUpdateService, LocalNode, RebalanceConfig, Rebalancer, ShedPolicy, TelemetryConfig,
 };
 use femto_containers::kvstore::Scope;
 use femto_containers::net::link::LinkConfig;
@@ -103,17 +105,8 @@ fn tenant_program(t: u32) -> (Vec<u8>, ContractRequest) {
 
 /// Deterministic event stream shared by both executions.
 fn event_stream(n: usize) -> Vec<usize> {
-    let mut gen = CoapLoadGen::new(
-        (0..6).map(|t| format!("t{t}/temp")).collect(),
-        0xd1ff,
-        LoadShape::Skewed,
-    );
-    (0..n)
-        .map(|_| {
-            let (path, _) = gen.next_request();
-            path[1..path.find('/').unwrap()].parse().unwrap()
-        })
-        .collect()
+    let mut gen = CoapLoadGen::new(tenant_paths(6), 0xd1ff, LoadShape::Skewed);
+    (0..n).map(|_| tenant_of(&gen.next_request().0)).collect()
 }
 
 fn event_regions() -> (Vec<u8>, HostRegion) {
@@ -763,23 +756,24 @@ fn seeded_lifecycle_rebalance_interleaving_stays_coherent() {
     host.shutdown();
 }
 
-/// A skewed 80/20 tenant mix whose hot hooks collide on two shards:
-/// the rebalancer must lift the window balance while every event keeps
-/// its single-device outcome.
-#[test]
-fn rebalancer_lifts_skewed_balance_with_identical_outcomes() {
-    let mut host = FcHost::new(
-        Platform::CortexM4,
-        Engine::FemtoContainer,
-        HostConfig {
-            workers: 4,
-            queue_capacity: 4096,
-            ..HostConfig::default()
-        },
-    );
-    // Eight equal-cost responder hooks round-robin over four shards:
-    // s0={0,4}, s1={1,5}, s2={2,6}, s3={3,7}. Hot set {0,1,4,5} takes
-    // 80% of the volume, so shards 0 and 1 carry 4x the load of 2/3.
+/// Per-tenant weights of the adversarial 80/20 mix: the hot set
+/// {0,1,4,5} takes 80% of the volume.
+const HOT_SET: [f64; 8] = [4.0, 4.0, 1.0, 1.0, 4.0, 4.0, 1.0, 1.0];
+
+fn tenant_paths(n: u32) -> Vec<String> {
+    (0..n).map(|t| format!("t{t}/temp")).collect()
+}
+
+fn tenant_of(path: &str) -> usize {
+    path[1..path.find('/').unwrap()].parse().unwrap()
+}
+
+/// Eight equal-cost responder hooks, round-robin over the host's
+/// shards — at four workers s0={0,4}, s1={1,5}, s2={2,6}, s3={3,7}, so
+/// under [`HOT_SET`] shards 0 and 1 carry 4x the load of 2 and 3.
+/// Returns the hooks in tenant order.
+fn responder_host(config: HostConfig) -> (FcHost, Vec<Uuid>) {
+    let host = FcHost::new(Platform::CortexM4, Engine::FemtoContainer, config);
     let mut hooks = Vec::new();
     for t in 0..8u32 {
         let hook = Hook::new(
@@ -797,11 +791,44 @@ fn rebalancer_lifts_skewed_balance_with_identical_outcomes() {
         let id = host.install(&format!("t{t}"), t, &img, req).unwrap();
         host.attach(id, hooks[t as usize]).unwrap();
     }
-    let mut gen = femto_containers::net::load::CoapLoadGen::weighted(
-        (0..8).map(|t| format!("t{t}/temp")).collect(),
-        0xba1a,
-        &[4.0, 4.0, 1.0, 1.0, 4.0, 4.0, 1.0, 1.0],
-    );
+    (host, hooks)
+}
+
+/// Fires `n` events from `gen` without waiting for replies, then
+/// quiesces.
+fn fire_stream(host: &FcHost, hooks: &[Uuid], gen: &mut CoapLoadGen, n: usize) {
+    for _ in 0..n {
+        let (path, _) = gen.next_request();
+        let (ctx, pkt) = event_regions();
+        host.fire(hooks[tenant_of(&path)], &ctx, std::slice::from_ref(&pkt))
+            .unwrap();
+    }
+    host.quiesce();
+}
+
+/// Lifetime simulated cycles per shard — the preemption-free busy
+/// time capacity is computed from.
+fn shard_cycles(host: &FcHost) -> Vec<u64> {
+    host.shard_reports().iter().map(|r| r.sim_cycles).collect()
+}
+
+/// Mean over max of per-shard busy cycles (1.0 = perfectly even).
+fn balance(cycles: &[u64]) -> f64 {
+    let max = cycles.iter().copied().max().unwrap_or(0).max(1);
+    cycles.iter().sum::<u64>() as f64 / (max as f64 * cycles.len() as f64)
+}
+
+/// A skewed 80/20 tenant mix whose hot hooks collide on two shards:
+/// the rebalancer must lift the window balance while every event keeps
+/// its single-device outcome.
+#[test]
+fn rebalancer_lifts_skewed_balance_with_identical_outcomes() {
+    let (mut host, hooks) = responder_host(HostConfig {
+        workers: 4,
+        queue_capacity: 4096,
+        ..HostConfig::default()
+    });
+    let mut gen = CoapLoadGen::weighted(tenant_paths(8), 0xba1a, &HOT_SET);
     let mut rebalancer = Rebalancer::new(RebalanceConfig {
         min_balance: 0.9,
         sustain: 1,
@@ -814,7 +841,7 @@ fn rebalancer_lifts_skewed_balance_with_identical_outcomes() {
     for _round in 0..8 {
         for _ in 0..1200 {
             let (path, _) = gen.next_request();
-            let t: usize = path[1..path.find('/').unwrap()].parse().unwrap();
+            let t = tenant_of(&path);
             let (ctx, pkt) = event_regions();
             let report = host
                 .fire_sync(hooks[t], &ctx, std::slice::from_ref(&pkt))
@@ -846,6 +873,145 @@ fn rebalancer_lifts_skewed_balance_with_identical_outcomes() {
         "colliding hot hooks separated: {first:.3} -> {last_balance:.3}"
     );
     host.shutdown();
+}
+
+/// Capacity on the cycle model: a uniform mix over eight equal-cost
+/// hooks spreads over four shards, so the hottest shard carries little
+/// more than a quarter of the one-worker host's simulated busy time —
+/// capacity scales ≥ 2.5x from one worker to four. Per-shard cycles
+/// are a pure function of the seed: two runs agree exactly.
+#[test]
+fn uniform_load_capacity_scales_across_four_workers() {
+    let run = |workers: usize| {
+        let (mut host, hooks) = responder_host(HostConfig {
+            workers,
+            queue_capacity: 4096,
+            ..HostConfig::default()
+        });
+        let mut gen = CoapLoadGen::new(tenant_paths(8), 0xfc_0522, LoadShape::Uniform);
+        fire_stream(&host, &hooks, &mut gen, 800);
+        let cycles = shard_cycles(&host);
+        host.shutdown();
+        cycles
+    };
+    let one = run(1);
+    let four = run(4);
+    assert_eq!(four, run(4), "per-shard cycles repeat run to run");
+    assert_eq!(four.iter().sum::<u64>(), one[0], "the same work, split");
+    let scaling = one[0] as f64 / *four.iter().max().unwrap() as f64;
+    assert!(
+        scaling >= 2.5,
+        "capacity scaling 1→4 workers {scaling:.2} < 2.5: {four:?}"
+    );
+}
+
+/// The in-band trigger on the 80/20 mix, with zero `observe()` calls:
+/// the host migrates the colliding hot hooks itself, the last round
+/// runs balanced, and the hottest shard's lifetime load — the capacity
+/// denominator — ends no higher than under static placement. Where a
+/// window closes depends on how far the workers got when the producer
+/// crosses the interval, so these are floors, not exact values.
+#[test]
+fn inband_rebalance_lifts_skewed_balance_without_observe_calls() {
+    let (rounds, per_round) = (6, 2000);
+    let run = |rebalance_interval: u64| {
+        let (mut host, hooks) = responder_host(HostConfig {
+            workers: 4,
+            queue_capacity: 4096,
+            rebalance_interval,
+            rebalance: RebalanceConfig {
+                min_balance: 0.95,
+                sustain: 1,
+                cooldown: 0,
+                ..RebalanceConfig::default()
+            },
+            ..HostConfig::default()
+        });
+        let mut gen = CoapLoadGen::weighted(tenant_paths(8), 0xfc_8020, &HOT_SET);
+        let mut before_last = Vec::new();
+        for _ in 0..rounds {
+            before_last = shard_cycles(&host);
+            fire_stream(&host, &hooks, &mut gen, per_round);
+        }
+        let lifetime = shard_cycles(&host);
+        let last: Vec<u64> = lifetime
+            .iter()
+            .zip(&before_last)
+            .map(|(a, b)| a - b)
+            .collect();
+        let stats = host.stats();
+        let counts = (
+            stats.migrations.load(Ordering::Relaxed),
+            stats.inband_observations.load(Ordering::Relaxed),
+        );
+        host.shutdown();
+        (lifetime, balance(&last), counts)
+    };
+    let (fixed, _, _) = run(0);
+    let (inband, last_balance, (migrations, observations)) = run(per_round as u64);
+    assert!(migrations > 0, "the in-band trigger migrated hooks");
+    assert!(observations > 0, "the host observed itself");
+    assert!(
+        last_balance >= 0.9,
+        "last round balanced: {last_balance:.3}"
+    );
+    assert!(
+        inband.iter().max() <= fixed.iter().max(),
+        "rebalancing costs no capacity: {inband:?} vs static {fixed:?}"
+    );
+}
+
+/// Overload is exact at the queue boundary: a batch is enqueued under
+/// one inbox lock, so a fresh 32-deep queue takes exactly 32 of a
+/// 64-event batch. `DropNewest` rejects the other 32 on arrival;
+/// `DropOldest` takes all 64 and displaces the first 32. Either way
+/// the ledger closes: dispatched + shed == offered.
+#[test]
+fn overloaded_batch_sheds_exactly_the_excess() {
+    for (shed, expected) in [
+        (
+            ShedPolicy::DropNewest,
+            BatchAccepted {
+                accepted: 32,
+                rejected: 32,
+                displaced: 0,
+            },
+        ),
+        (
+            ShedPolicy::DropOldest,
+            BatchAccepted {
+                accepted: 64,
+                rejected: 0,
+                displaced: 32,
+            },
+        ),
+    ] {
+        let (mut host, hooks) = responder_host(HostConfig {
+            workers: 1,
+            queue_capacity: 32,
+            shed,
+            ..HostConfig::default()
+        });
+        let batch = (0..64)
+            .map(|_| {
+                let (ctx, pkt) = event_regions();
+                HookEvent {
+                    ctx,
+                    extra: vec![pkt],
+                }
+            })
+            .collect();
+        assert_eq!(
+            host.fire_batch(hooks[0], batch).unwrap(),
+            expected,
+            "{shed:?}"
+        );
+        host.quiesce();
+        let stats = host.stats();
+        assert_eq!(stats.dispatched.load(Ordering::Relaxed), 32, "{shed:?}");
+        assert_eq!(stats.shed.load(Ordering::Relaxed), 32, "{shed:?}");
+        host.shutdown();
+    }
 }
 
 #[test]
